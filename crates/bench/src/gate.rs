@@ -54,13 +54,18 @@ pub const SMOKE_BASELINE_EVENTS_PER_SEC: f64 = 1_350_000.0;
 /// algorithmic collapse.
 pub const DEFAULT_MIN_RATIO: f64 = 0.05;
 
-/// Best committed fig2c/refresh single-thread events/sec among the
-/// BENCH_*.json files measured under the current conditions — always-on
-/// protocol-invariant oracle plus the counting allocator, i.e. PR 5
-/// onward; the PR 2–4 figures predate both layers and are not comparable.
-/// Recorded in `BENCH_PR10.json`. This is the **ratchet**: raise it when
-/// a PR commits a faster figure, never lower it to absorb a regression.
-pub const FIG2C_BEST_COMMITTED_EVENTS_PER_SEC: f64 = 1_582_459.0;
+/// Best committed fig2c/refresh single-thread events/sec measured under
+/// the current conditions — always-on protocol-invariant oracle, stream
+/// taps and counting allocator; figures from before those layers are not
+/// comparable. Raised from `BENCH_PR10.json`'s 1,582,459 with the
+/// word-wide stream-tap digest: interleaved `perf_report --jobs 1` runs
+/// on a 2-vCPU Xeon gave a best of 2.09M events/sec (1.27–2.09M over
+/// three runs) against 1.23M (1.13–1.23M) for the byte-serial digest.
+/// The constant sits below that best so the shorter, noisier smoke row
+/// (1.48–2.27M on the same machine) clears the floor. This is the
+/// **ratchet**: raise it when a change commits a faster figure, never
+/// lower it to absorb a regression.
+pub const FIG2C_BEST_COMMITTED_EVENTS_PER_SEC: f64 = 1_750_000.0;
 
 /// Maximum fraction the report's fig2c/refresh row may drop below
 /// [`FIG2C_BEST_COMMITTED_EVENTS_PER_SEC`] before the ratchet fails the
@@ -453,12 +458,17 @@ mod tests {
 
     #[test]
     fn fig2c_ratchet_fails_on_30_percent_regression() {
-        // 553_861 events over 0.5 s ≈ 1_107_722 events/sec — a 30% drop
-        // from the best committed figure, below the 25% ratchet floor.
-        // The other rows keep 20M events/sec, so the aggregate floor
-        // stays green and only the ratchet can fail.
+        // The fig2c row's events over its 0.5 s wall at a given drop from
+        // the best committed figure.
+        let events_at = |drop: f64| {
+            let events = FIG2C_BEST_COMMITTED_EVENTS_PER_SEC * (1.0 - drop) * 0.5;
+            format!("\"events\": {}", events as u64)
+        };
+        // A 30% drop is below the 25% ratchet floor. The other rows keep
+        // 20M events/sec, so the aggregate floor stays green and only the
+        // ratchet can fail.
         let json = sample("true", "null", 10_000_000);
-        let regressed = patch_fig2c_row(&json, "\"events\": 10000000", "\"events\": 553861");
+        let regressed = patch_fig2c_row(&json, "\"events\": 10000000", &events_at(0.30));
         let r = check(&regressed, DEFAULT_MIN_RATIO);
         assert!(!r.passed());
         assert!(
@@ -469,7 +479,7 @@ mod tests {
         // Ratio 0.0 (instrumented builds) disables the ratchet.
         assert!(check(&regressed, 0.0).passed());
         // A 20% drop stays inside the 25% allowance.
-        let ok = patch_fig2c_row(&json, "\"events\": 10000000", "\"events\": 633000");
+        let ok = patch_fig2c_row(&json, "\"events\": 10000000", &events_at(0.20));
         assert!(check(&ok, DEFAULT_MIN_RATIO).passed());
     }
 

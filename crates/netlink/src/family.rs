@@ -318,9 +318,10 @@ pub struct DiagConn {
     pub meta_una: u64,
     /// Data-level next offset to send (`snd_nxt`).
     pub meta_snd_nxt: u64,
-    /// Send-side stream tap `(bytes, fnv_digest)`.
+    /// Send-side stream tap `(bytes, digest)`: the tap's `count` and its
+    /// word-wide stream digest, [`smapp_tcp::StreamTap::fnv`].
     pub tap_sent: (u64, u64),
-    /// Receive-side stream tap `(bytes, fnv_digest)`.
+    /// Receive-side stream tap `(bytes, digest)`, as for `tap_sent`.
     pub tap_recvd: (u64, u64),
     /// Meta-level reinjections performed so far.
     pub reinjections: u64,
